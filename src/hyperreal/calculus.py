@@ -240,7 +240,10 @@ class _Parser:
             den = 1
             if self.at_op("/"):
                 self.advance()
-                den = self._integer(self.expect_num())
+                den_token = self.expect_num()
+                den = self._integer(den_token)
+                if den == 0:
+                    raise ParseError("exponent denominator must be nonzero", den_token.pos)
             self.expect(")")
             return Fraction(sign * num, den)
         raise ParseError("expected an integer or (p/q) exponent", token.pos)
@@ -497,18 +500,23 @@ def derivative(
 
     Probes the quotient at eps, -eps, eps^2, -eps^2 and 2*eps; the result
     is returned only if every quotient is limited with the same shadow.
-    Raises NonDifferentiableError (with witnesses) otherwise, and
+    ``f(at)`` is evaluated once, after ``f(at + eps)``, and shared by every
+    probe.  Raises NonDifferentiableError (with witnesses) otherwise, and
     InsufficientPrecisionError when a shadow cannot be determined at the
     current relative order.
     """
     node = _as_expr(f)
     prec = Precision.of(precision)
-    x0 = as_fraction(at)
+    base = HyperReal.from_rational(as_fraction(at))
+    low: HyperReal | None = None
     shadows: list[Fraction] = []
     witnesses: list[tuple[str, str]] = []
     for label, probe in _PROBES:
         try:
-            quotient = newton_quotient(node, x0, probe, prec)
+            high = eval_hyper(node, base + probe, prec)
+            if low is None:
+                low = eval_hyper(node, base, prec)
+            quotient = (high - low) * probe.inv(prec)
         except (ExactZeroDivisionError, ZeroDivisionError):
             raise NonDifferentiableError(
                 f"function undefined at probe {label}", witnesses=[(label, "undefined")]

@@ -20,6 +20,7 @@ share between threads.  Truncating operations take the precision explicitly.
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -257,19 +258,26 @@ class HyperReal:
     __rmul__ = __mul__
 
     def __pow__(self, exponent: int) -> "HyperReal":
+        """Integer power; negative exponents go through ``inv()``.
+
+        Writes the element as ``c*eps^q*(1+u)`` and expands ``(1+u)^N`` by
+        Miller's power recurrence (``_unit_power``).  An exact element gives
+        the exact polynomial power; an order bound ``B`` becomes
+        ``B + (N-1)*q``, and an unresolved ``O(eps^B)`` becomes
+        ``O(eps^(N*B))``.
+        """
         if not isinstance(exponent, int):
             raise TypeError("only integer powers; use root() for rational exponents")
         if exponent < 0:
             return (self ** (-exponent)).inv()
-        result = HyperReal.from_rational(1)
-        base = self
-        k = exponent
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
+        if exponent == 0:
+            return HyperReal.from_rational(1)
+        if not self.terms:
+            # Exact zero stays exact zero; O(eps^B) becomes O(eps^(N*B)).
+            return self if self.order_bound is None else HyperReal((), self.order_bound * exponent)
+        q, c = self.terms[0]
+        u = self._unit_part()
+        return HyperReal.monomial(c**exponent, q * exponent) * _unit_power(u, exponent, u.order_bound)
 
     def __truediv__(self, other) -> "HyperReal":
         o = self._coerce(other)
@@ -291,13 +299,21 @@ class HyperReal:
 
     # -- truncating operations -----------------------------------------
 
-    def inv(self, precision: Precision | int | None = None) -> "HyperReal":
-        """Multiplicative inverse to the given relative order.
+    def _unit_part(self) -> "HyperReal":
+        # u with self = c*eps^q*(1+u), where c*eps^q is the leading term.
+        q, c = self.terms[0]
+        return HyperReal(
+            ((e - q, a / c) for e, a in self.terms[1:]), _shift_bound(self.order_bound, -q)
+        )
 
-        Writes the element as ``c*eps^q*(1+u)`` with ``u`` of positive
-        leading exponent and sums the geometric series for ``1/(1+u)``.
-        The residual of ``x*x.inv() - 1`` has order at least the relative
-        precision.
+    def inv(self, precision: Precision | int | None = None) -> "HyperReal":
+        """Multiplicative inverse to the given relative order ``T``.
+
+        Writes the element as ``c*eps^q*(1+u)`` and expands ``(1+u)^-1`` by
+        Miller's power recurrence (``_unit_power``) below relative order
+        ``min(T, B-q)``, where ``B`` is the input's order bound; the result's
+        bound is ``min(T, B-q) - q``.  The residual of ``x*x.inv() - 1``
+        has order at least the relative precision.
         """
         if not self.terms:
             if self.order_bound is None:
@@ -307,26 +323,20 @@ class HyperReal:
             )
         T = Precision.of(precision).relative_order
         q, c = self.terms[0]
+        u = self._unit_part()
         scale = HyperReal.monomial(1 / c, -q)
-        u = self * scale - 1
         if u.is_exact_zero:
             return scale
-        delta = u._lead_floor
-        steps = math.ceil(Fraction(T) / delta)
-        acc = HyperReal.from_rational(1)
-        power = acc
-        neg_u = -u
-        for _ in range(steps - 1):
-            # Terms at or beyond T never reach the result; cut them early.
-            power = (power * neg_u).truncate(T)
-            acc = acc + power
-        return scale * acc.truncate(T)
+        return scale * _unit_power(u, -1, _min_bound(u.order_bound, Fraction(T)))
 
     def root(self, degree: int, precision: Precision | int | None = None) -> "HyperReal":
-        """Exact-leading-coefficient n-th root via the binomial series.
+        """Exact-leading-coefficient n-th root to the given relative order ``T``.
 
         The leading coefficient must be an exact rational n-th power
-        (negative allowed for odd degrees).  Roots preserve the class of
+        (negative allowed for odd degrees).  Writes the element as
+        ``c*eps^q*(1+u)`` and expands ``(1+u)^(1/n)`` by Miller's power
+        recurrence (``_unit_power``) below relative order ``min(T, B-q)``; the
+        result's bound is ``min(T, B-q) + q/n``.  Roots preserve the class of
         the input: root of an infinitesimal is infinitesimal, of an
         appreciable appreciable, of an unlimited unlimited.
         """
@@ -346,22 +356,11 @@ class HyperReal:
             raise NegativeLeadingCoefficientError(
                 f"even root of element with negative leading coefficient {c}"
             )
-        c_root = _rational_nth_root(c, degree)
-        mono = HyperReal.monomial(c_root, q / degree)
-        u = self * HyperReal.monomial(1 / c, -q) - 1
+        mono = HyperReal.monomial(_rational_nth_root(c, degree), q / degree)
+        u = self._unit_part()
         if u.is_exact_zero:
             return mono
-        delta = u._lead_floor
-        steps = math.ceil(Fraction(T) / delta)
-        alpha = Fraction(1, degree)
-        acc = HyperReal.from_rational(1)
-        power = acc
-        coeff = Fraction(1)
-        for k in range(1, steps):
-            coeff *= (alpha - (k - 1)) / k
-            power = (power * u).truncate(T)
-            acc = acc + power * coeff
-        return mono * acc.truncate(T)
+        return mono * _unit_power(u, Fraction(1, degree), _min_bound(u.order_bound, Fraction(T)))
 
     # -- order and classification ---------------------------------------
 
@@ -507,6 +506,63 @@ def _power_text(exponent: Fraction) -> str:
     return f"eps^({exponent})"
 
 
+def _unit_power(u: HyperReal, alpha: Rational, cut: Fraction | None) -> HyperReal:
+    """``(1+u)^alpha`` below exponent ``cut``, for ``u`` of positive order.
+
+    ``cut`` None asks for the exact result; ``u`` must then be exact and
+    ``alpha`` a non-negative integer, so the result is a polynomial.  With
+    ``d`` the lcm of the exponent denominators of ``u``, the series is one in
+    ``z = eps^(1/d)``: ``1+u = sum g_k z^k`` with ``g_0 = 1``, and the
+    coefficients of ``(1+u)^alpha = sum f_n z^n`` follow J.C.P. Miller's
+    recurrence (Knuth, TAOCP vol. 2, 4.7)::
+
+        f_0 = 1,   n*f_n = sum_{k=1..n} ((alpha+1)*k - n) * g_k * f_{n-k}.
+
+    Only indices in the additive monoid generated by the indices of ``u`` can
+    carry a coefficient, so only those are visited, in increasing order from
+    a heap frontier: a sparse ``u`` with a huge exponent span never builds a
+    dense array.  For a non-negative integer ``alpha`` only sums of at most
+    ``alpha`` indices of ``u`` can, since ``(1+u)^N = sum_j C(N,j) u^j``;
+    ``depth`` keeps the fewest summands that reach each index, final when the
+    index is popped because every smaller index is popped before it.
+    Nothing at or past the cut is computed.
+    """
+    d = math.lcm(*(e.denominator for e, _ in u.terms))
+    steps = [(e.numerator * (d // e.denominator), c) for e, c in u.terms]
+    limit = math.inf if cut is None else math.ceil(cut * d)
+    max_depth = alpha if isinstance(alpha, int) and alpha >= 0 else math.inf
+    a = Fraction(alpha) + 1
+    p, r = a.numerator, a.denominator
+    coefficients = {0: Fraction(1)}
+    frontier = [k for k, _ in steps if k < limit]
+    heapq.heapify(frontier)
+    depth = dict.fromkeys(frontier, 1)
+    while frontier:
+        n = heapq.heappop(frontier)
+        total = 0
+        for k, g in steps:
+            if k > n:
+                break
+            f = coefficients.get(n - k)
+            if f is not None:
+                total += (p * k - r * n) * g * f
+        if total:
+            coefficients[n] = total / (r * n)
+        reach = depth[n] + 1
+        if reach > max_depth:
+            continue
+        for k, _ in steps:
+            m = n + k
+            if m >= limit:
+                break
+            if m not in depth:
+                depth[m] = reach
+                heapq.heappush(frontier, m)
+            elif reach < depth[m]:
+                depth[m] = reach
+    return HyperReal(((Fraction(n, d), f) for n, f in coefficients.items()), cut)
+
+
 def _int_nth_root(value: int, degree: int) -> int:
     """Largest integer r with r**degree <= value (value >= 0)."""
     if value < 2:
@@ -542,22 +598,6 @@ OMEGA = HyperReal.monomial(1, -1)
 
 
 # Operation-style aliases mirroring the method API.
-
-def add(x: HyperReal, y: HyperReal) -> HyperReal:
-    return x + y
-
-
-def mul(x: HyperReal, y: HyperReal) -> HyperReal:
-    return x * y
-
-
-def inv(x: HyperReal, precision: Precision | int | None = None) -> HyperReal:
-    return x.inv(precision)
-
-
-def root(x: HyperReal, degree: int, precision: Precision | int | None = None) -> HyperReal:
-    return x.root(degree, precision)
-
 
 def compare(x: HyperReal, y) -> Ordering:
     return x.compare(y)

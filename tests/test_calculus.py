@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+import hyperreal.calculus as calculus
 from hyperreal import EPS, OMEGA, HyperReal, eval_hyper, parse_expr, to_text
 from hyperreal.calculus import (
     Abs,
@@ -220,8 +221,25 @@ def test_derivative_abs_at_zero_not_differentiable():
 
 
 def test_derivative_at_pole_not_differentiable():
-    with pytest.raises(NonDifferentiableError):
+    with pytest.raises(NonDifferentiableError) as info:
         derivative("1/x", 0)
+    assert str(info.value) == "function undefined at probe eps"
+    assert info.value.witnesses == (("eps", "undefined"),)
+
+
+def test_derivative_evaluates_the_base_point_once(monkeypatch):
+    points = []
+    evaluate = calculus.eval_hyper
+
+    def counting(node, at=None, precision=None):
+        points.append(at)
+        return evaluate(node, at, precision)
+
+    monkeypatch.setattr(calculus, "eval_hyper", counting)
+    assert derivative("1/(1+x^2)", 3) == F(-3, 50)
+    # One evaluation per probe, plus f(3) once.
+    assert len(points) == 6
+    assert points.count(HyperReal.from_rational(3)) == 1
 
 
 def test_derivative_linearity_and_product_rule():

@@ -236,3 +236,18 @@ def test_transfer_directions_via_cli():
     payload = json.loads(out)
     assert payload["result"]["verdict"] == "not-transferable"
     assert payload["result"]["external_symbols"] == ["omega"]
+
+
+def test_zero_exponent_denominator_is_a_parse_error():
+    code, out, _ = run_cli("eval", "eps^(1/0)", "--json")
+    assert code == 1
+    assert len(out.splitlines()) == 1
+    payload = json.loads(out)
+    assert payload["error"] == {
+        "type": "ParseError",
+        "message": "exponent denominator must be nonzero (at position 7)",
+    }
+    check_envelope(payload, "eval")
+    code, out, err = run_cli("eval", "eps^(0/0)")
+    assert (code, out) == (1, "")
+    assert err == "error: ParseError: exponent denominator must be nonzero (at position 7)\n"

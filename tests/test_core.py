@@ -329,15 +329,6 @@ def test_field_axioms_on_exact_elements(x, y, z):
     assert x + (-x) == ZERO
 
 
-@given(nonzero_exact)
-@settings(max_examples=60, deadline=None)
-def test_inverse_residual_has_high_order(x):
-    residual = x * x.inv(Precision(16)) - 1
-    assert residual.terms == ()
-    # Exact zero (monomial input) or an unknown tail of order >= 16.
-    assert residual.order_bound is None or residual.order_bound >= 16
-
-
 @given(exact_elements, exact_elements, exact_elements)
 def test_order_compatible_with_addition(x, y, z):
     if x.compare(y) is Ordering.LESS:
@@ -356,6 +347,89 @@ def test_trichotomy_on_exact_pairs(x, y):
     assert outcome in (Ordering.LESS, Ordering.EQUAL, Ordering.GREATER)
     assert (outcome is Ordering.EQUAL) == (x - y == ZERO)
     assert (outcome is Ordering.LESS) == (y.compare(x) is Ordering.GREATER)
+
+
+# ---------------------------------------------------------------------------
+# Series kernel: inverses, roots and integer powers (property tests)
+
+relative_orders = st.integers(min_value=1, max_value=16)
+bounded_elements = st.builds(
+    HyperReal, st.lists(st.tuples(exponents, coefficients), max_size=4), st.none() | exponents
+)
+
+
+@st.composite
+def rootable(draw):
+    """(x, d): x has an exact d-th power leading coefficient, maybe an O() tail."""
+    degree = draw(st.integers(min_value=2, max_value=5))
+    base = draw(st.fractions(min_value=-3, max_value=3, max_denominator=3).filter(bool))
+    lead = draw(exponents)
+    gaps = draw(st.lists(st.fractions(min_value=F(1, 3), max_value=3, max_denominator=3), max_size=3))
+    terms = [(lead, base**degree)]
+    for gap in gaps:
+        terms.append((terms[-1][0] + gap, draw(coefficients)))
+    tail = draw(st.none() | st.fractions(min_value=F(1, 3), max_value=4, max_denominator=3))
+    bound = None if tail is None else terms[-1][0] + tail
+    return HyperReal(terms, bound), degree
+
+
+@given(nonzero_exact, relative_orders)
+@settings(max_examples=80, deadline=None)
+def test_inverse_residual_has_high_order(x, T):
+    residual = x * x.inv(Precision(T)) - 1
+    assert residual.terms == ()
+    # Exact zero (monomial input) or an unknown tail of order >= T.
+    assert residual.order_bound is None or residual.order_bound >= T
+
+
+@given(rootable(), relative_orders)
+@settings(max_examples=80, deadline=None)
+def test_root_power_agrees_below_relative_order(case, T):
+    x, degree = case
+    q = x.lead_exponent
+    difference = x.root(degree, T) ** degree - x
+    assert difference.terms == ()
+    if not (len(x.terms) == 1 and x.is_exact):  # a monomial's root is exact
+        expected = q + T if x.is_exact else min(q + T, x.order_bound)
+        assert difference.order_bound == expected
+
+
+@given(bounded_elements, st.integers(min_value=0, max_value=8))
+@settings(max_examples=80, deadline=None)
+def test_power_equals_repeated_product(x, n):
+    product = ONE
+    for _ in range(n):
+        product = product * x
+    assert x**n == product
+
+
+@pytest.mark.parametrize(
+    "x, n, visits",
+    [
+        # u = eps^(1/1000) + eps^1000: sums of <= 2 steps are 5 indices of 2*10^6.
+        (HyperReal([(0, 1), (F(1, 1000), 1), (1000, 1)]), 2, 5),
+        (HyperReal([(0, 1), (F(1, 1000), 1), (10000, 1)]), 2, 5),
+        # Inexact: the cut at 16 leaves 4 of the 1600 lattice indices below it.
+        (HyperReal([(0, 1), (F(1, 100), 1), (10, 1)], 16), 2, 4),
+        (HyperReal([(F(1, 1000), 1), (1000, 1)]), 7, 7),
+        # Some sums are first reached by a longer route (8 = 1+7 before 4+4);
+        # their summand count must be lowered, or 3-term sums past them are lost.
+        (HyperReal([(0, 1), (1, 1), (4, 1), (7, 1), (12, 1)]), 3, 27),
+    ],
+)
+def test_sparse_power_visits_only_short_sums(monkeypatch, x, n, visits):
+    import heapq
+
+    popped = []
+    heappop = heapq.heappop
+    monkeypatch.setattr(heapq, "heappop", lambda heap: popped.append(1) or heappop(heap))
+    result = x**n
+    monkeypatch.undo()
+    product = ONE
+    for _ in range(n):
+        product = product * x
+    assert result == product
+    assert len(popped) == visits
 
 
 # ---------------------------------------------------------------------------
